@@ -23,6 +23,11 @@ use std::time::{Duration, Instant};
 
 const SEEDS_PER_CAMPAIGN: usize = 4;
 const WARMUP_CAMPAIGNS: usize = 8;
+/// Peak RSS is read right after this many timed campaigns, which every
+/// run completes (a 15 s run completes 450-700 on two vCPUs). Each miss
+/// adds its lines to a daemon's store, so a peak read at the end of the
+/// timed phase would grow with throughput.
+const RSS_CAMPAIGNS: u64 = 250;
 const BACKENDS: usize = 2;
 /// `--campaign-threads 1` per daemon: the split `joss_fleet --spawn`
 /// makes of two cores.
@@ -133,6 +138,13 @@ fn timed(
         tm::FLEET_STEAL_ATTEMPTS.get(),
     );
     let daemon_cpu = || daemons.iter().map(Daemon::cpu_s).sum::<f64>();
+    let rss_peak = || {
+        daemons
+            .iter()
+            .map(|d| sys::status_mb(Some(d.pid()), "VmHWM"))
+            .sum::<f64>()
+            + sys::status_mb(None, "VmHWM")
+    };
     let (daemon_cpu0, self_cpu0) = (daemon_cpu(), sys::self_cpu_s());
     let t0 = Instant::now();
     let mut op = 0u64;
@@ -171,15 +183,21 @@ fn timed(
             }
         }
         op += 1;
+        if op == RSS_CAMPAIGNS {
+            out.rss_peak_mb = rss_peak();
+        }
     }
     out.wall_s = t0.elapsed().as_secs_f64();
     let daemon_cpu_s = daemon_cpu() - daemon_cpu0;
     out.cpu_s = daemon_cpu_s + sys::self_cpu_s() - self_cpu0;
-    out.rss_peak_mb = daemons
-        .iter()
-        .map(|d| sys::status_mb(Some(d.pid()), "VmHWM"))
-        .sum::<f64>()
-        + sys::status_mb(None, "VmHWM");
+    if op < RSS_CAMPAIGNS {
+        // Only the brief fleet run of a traced run, which reports no RSS,
+        // is expected to end this early.
+        if !traced {
+            eprintln!("perfbench: only {op} timed campaigns; peak RSS read at the end");
+        }
+        out.rss_peak_mb = rss_peak();
+    }
     tracer.set_on(traced);
     let steals1 = (
         tm::FLEET_STEALS_COMMITTED.get(),

@@ -16,32 +16,32 @@ use std::time::Instant;
 /// its own process on the inputs the daemon or coordinator saw.
 pub const TABLE: [(&str, &str, &str); 42] = [
     ("models.train_ms", "ms", "setup_s, all workloads"),
-    ("workloads.build_ms", "ms", "setup_s, sweep_fig8"),
-    ("platform.execute_ns", "ns", "cpu_us_per_spec, sweep_fig8"),
-    ("models.search_ns", "ns", "cpu_us_per_spec, sweep_fig8"),
-    ("core.spec_ms.grws", "ms", "specs_per_s, sweep_fig8"),
-    ("core.spec_ms.joss", "ms", "specs_per_s, sweep_fig8"),
+    (
+        "workloads.build_ms",
+        "ms",
+        "setup_s, serve_reuse and fleet_cold",
+    ),
+    ("platform.execute_ns", "ns", "cpu_us_per_spec, fleet_cold"),
+    ("models.search_ns", "ns", "cpu_us_per_spec, fleet_cold"),
+    ("core.spec_ms.grws", "ms", "specs_per_s, fleet_cold"),
+    ("core.spec_ms.joss", "ms", "specs_per_s, fleet_cold"),
     (
         "core.events_per_task",
         "count",
-        "cpu_us_per_spec, sweep_fig8",
+        "cpu_us_per_spec, fleet_cold",
     ),
     (
         "core.dispatches_per_task",
         "count",
-        "cpu_us_per_spec, sweep_fig8",
+        "cpu_us_per_spec, fleet_cold",
     ),
     (
         "core.steal_attempts_per_task",
         "count",
-        "cpu_us_per_spec, sweep_fig8",
+        "cpu_us_per_spec, fleet_cold",
     ),
-    ("sweep.pool_busy_frac", "ratio", "specs_per_s, sweep_fig8"),
-    (
-        "sweep.encode_us",
-        "us",
-        "cpu_us_per_spec, sweep_fig8 and fleet_cold",
-    ),
+    ("sweep.pool_busy_frac", "ratio", "setup_s, serve_reuse"),
+    ("sweep.encode_us", "us", "cpu_us_per_spec, fleet_cold"),
     (
         "sweep.parse_us",
         "us",

@@ -1,19 +1,21 @@
 //! End-to-end and per-layer benchmark of the JOSS stack.
 //!
 //! ```text
-//! perfbench --workload <sweep_fig8|serve_reuse|fleet_cold> [--seed N]
+//! perfbench --workload <serve_reuse|fleet_cold> [--seed N]
 //!           [--seconds S] [--trace 0|1] [--ops N] [--flip-byte OP]
 //! perfbench --self-test
 //! ```
 //!
 //! Untraced runs (`--trace 0`) measure one workload and print its
 //! end-to-end metrics. A traced run (`--trace 1`) measures the named
-//! workload for `--seconds` and the other two briefly, records benchmark
-//! spans around every layer call, writes them to `perfbench/out/`, and
-//! prints every per-layer metric. The last stdout line is always one JSON
-//! object: `{"correct", "attempted", "failed", "metrics"}`. Any failed op
-//! (transport error, non-200, not a cache hit where one is due, or a byte
-//! that differs from the offline reference) makes the exit code non-zero.
+//! workload for `--seconds`, then the other workload and the offline
+//! Fig. 8 sweep (`sweep_fig8`, the source of the engine layers) briefly,
+//! records benchmark spans around every layer call, writes them to
+//! `perfbench/out/`, and prints every per-layer metric. The last stdout
+//! line is always one JSON object: `{"correct", "attempted", "failed",
+//! "metrics"}`. Any failed op (transport error, non-200, not a cache hit
+//! where one is due, or a byte that differs from the offline reference)
+//! makes the exit code non-zero.
 
 mod fleet;
 mod layers;
@@ -22,16 +24,20 @@ mod sweep;
 mod sys;
 mod trace;
 
+use joss_serve::ServeConfig;
+use joss_sweep::ExperimentContext;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::process::exit;
 use trace::Tracer;
 
-/// Training seed and profiling repetitions of the daemon defaults; every
-/// in-process context uses the same pair so records match byte for byte.
-pub const TRAIN_SEED: u64 = 42;
-pub const TRAIN_REPS: u32 = 3;
+/// A context trained with a default daemon's training seed and profiling
+/// repetitions, so in-process records match the daemon's byte for byte.
+pub fn train_context() -> ExperimentContext {
+    let defaults = ServeConfig::default();
+    ExperimentContext::with_reps(defaults.train_seed, defaults.reps)
+}
 
 /// Set-up is repeated this many times per run and its median reported.
 pub const SETUP_REPS: usize = 5;
@@ -100,10 +106,6 @@ pub struct Outcome {
     pub cpu_s: f64,
     pub rss_peak_mb: f64,
     pub energy_ratio: f64,
-    /// Streamed batch ops: when each verified record reached the sink,
-    /// ms after its op started. A run with too few ops for grouped
-    /// latency (the batch sweep) takes its latency quantiles from these.
-    pub record_ms: Vec<f64>,
     /// Per-layer values (traced runs only); `None` = not reported by this
     /// program version.
     pub layers: Vec<(&'static str, Option<f64>)>,
@@ -143,33 +145,14 @@ impl Outcome {
         Some(rate(true)? / rate(false)? - 1.0)
     }
 
-    /// `(specs_per_s, latency_ms_p50, latency_ms_p90)`. Runs with enough
-    /// ops are cut into up to ten consecutive groups of at least 100 ops,
-    /// and each figure is the median over groups of the group's value, so a
-    /// burst of host noise moves at most a few groups. Shorter runs (the
-    /// batch sweep) report the median per-op rate and the quantiles of the
-    /// record delivery times (of the op times when records are not
-    /// streamed).
+    /// `(specs_per_s, latency_ms_p50, latency_ms_p90)`. The ops are cut
+    /// into up to ten consecutive groups of at least 100 ops (one group
+    /// when there are fewer), and each figure is the median over groups of
+    /// the group's value, so a burst of host noise moves at most a few
+    /// groups.
     fn summary(&mut self) -> (f64, f64, f64) {
         self.ops.sort_by(|a, b| a.end_s.total_cmp(&b.end_s));
-        let groups = (self.ops.len() / GROUP_OPS).min(MAX_GROUPS);
-        if groups < 2 {
-            let rates: Vec<f64> = self
-                .ops
-                .iter()
-                .map(|o| o.records as f64 / o.ms * 1e3)
-                .collect();
-            let mut ms: Vec<f64> = if self.record_ms.is_empty() {
-                self.ops.iter().map(|o| o.ms).collect()
-            } else {
-                std::mem::take(&mut self.record_ms)
-            };
-            return (
-                median(&rates),
-                quantile(&mut ms, 0.5),
-                quantile(&mut ms, 0.9),
-            );
-        }
+        let groups = (self.ops.len() / GROUP_OPS).clamp(1, MAX_GROUPS);
         let n = self.ops.len();
         let (mut rates, mut p50s, mut p90s) = (Vec::new(), Vec::new(), Vec::new());
         let mut start_s = 0.0;
@@ -251,11 +234,16 @@ pub fn energy_ratio<'a>(records: impl IntoIterator<Item = (&'a str, bool, f64)>)
     (logs.iter().sum::<f64>() / logs.len() as f64).exp()
 }
 
-pub const WORKLOADS: [&str; 3] = ["sweep_fig8", "serve_reuse", "fleet_cold"];
+/// The workloads `--workload` accepts.
+pub const WORKLOADS: [&str; 2] = ["serve_reuse", "fleet_cold"];
+
+/// The offline Fig. 8 sweep: run only inside traced runs, for the engine
+/// layers.
+const SWEEP: &str = "sweep_fig8";
 
 fn run_workload(name: &str, cfg: &Cfg, seconds: f64, tracer: &mut Tracer) -> Outcome {
     let result = match name {
-        "sweep_fig8" => sweep::run(cfg, seconds, tracer),
+        SWEEP => sweep::run(cfg, seconds, tracer),
         "serve_reuse" => serve::run(cfg, seconds, tracer),
         "fleet_cold" => fleet::run(cfg, seconds, tracer),
         _ => unreachable!("workload names are validated at parse time"),
@@ -374,12 +362,14 @@ fn end_to_end(args: &Args, cfg: &Cfg) -> bool {
     correct
 }
 
-/// Traced run: the named workload for the full time, the others briefly,
-/// every per-layer metric, and the spans written out per workload.
+/// Traced run: the named workload for the full time, the other workload
+/// and the sweep briefly, every per-layer metric, and the spans written
+/// out per workload.
 fn per_layer(args: &Args, cfg: &Cfg) -> bool {
     let brief = (args.seconds / 4.0).max(1.0);
     let order = std::iter::once(args.workload.as_str())
-        .chain(WORKLOADS.into_iter().filter(|w| *w != args.workload));
+        .chain(WORKLOADS.into_iter().filter(|w| *w != args.workload))
+        .chain([SWEEP]);
     let mut values: BTreeMap<&str, f64> = BTreeMap::new();
     let (mut attempted, mut failed, mut overhead) = (0, 0, None);
     for name in order {

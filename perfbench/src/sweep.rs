@@ -2,11 +2,12 @@
 //! × the six Fig. 8 schedulers at full scale — run in this process the way
 //! `joss_sweep` runs it: one two-thread `Campaign::run_streaming` into a
 //! `JsonlSink` per op. Nearly all of its time is in the engine, platform
-//! and model crates; serve and fleet are never touched.
+//! and model crates; serve and fleet are never touched. It runs only
+//! inside traced runs, as the source of the engine layers.
 
 use crate::trace::Tracer;
-use crate::{energy_ratio, fnv1a, median, sys, Cfg, Outcome, SETUP_REPS, TRAIN_REPS, TRAIN_SEED};
-use joss_sweep::{to_jsonl, Campaign, ExperimentContext, GridDesc, JsonlSink, SchedulerKind};
+use crate::{fnv1a, median, train_context, Cfg, Outcome, SETUP_REPS};
+use joss_sweep::{to_jsonl, Campaign, GridDesc, JsonlSink, SchedulerKind};
 use joss_workloads::{fig8_labels, Scale};
 use std::io;
 use std::time::Instant;
@@ -16,7 +17,7 @@ pub const DEFAULT_SEED: u64 = 1;
 
 /// FNV-1a 64 of the grid's JSONL at [`DEFAULT_SEED`], as produced by an
 /// offline `Campaign::run_streaming` into a `JsonlSink` (training seed 42,
-/// 3 reps). Other seeds are checked against a reference computed before
+/// 3 reps). Other seeds are checked against a reference computed after
 /// the timed phase.
 const DEFAULT_DIGEST: u64 = 0xd73adcde08e0a044;
 
@@ -36,51 +37,41 @@ pub fn grid(seed: u64) -> GridDesc {
 }
 
 pub fn run(cfg: &Cfg, seconds: f64, tracer: &mut Tracer) -> io::Result<Outcome> {
-    let traced = tracer.enabled();
     let desc = grid(cfg.seed);
     let mut out = Outcome::default();
 
     // Set-up: context training and grid build, repeated.
-    let (mut setups, mut trains, mut builds) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut trains, mut builds) = (Vec::new(), Vec::new());
     let mut prepared = None;
     for _ in 0..SETUP_REPS {
         let t0 = Instant::now();
-        let ctx = ExperimentContext::with_reps(TRAIN_SEED, TRAIN_REPS);
+        let ctx = train_context();
         let t1 = Instant::now();
         let (_, specs) = desc.resolve_specs().map_err(io::Error::other)?;
-        setups.push(t0.elapsed().as_secs_f64());
         trains.push((t1 - t0).as_secs_f64() * 1e3);
         builds.push(t1.elapsed().as_secs_f64() * 1e3);
         prepared = Some((ctx, specs));
     }
     let (ctx, specs) = prepared.expect("at least one set-up");
-    out.setup_s = median(&setups);
 
-    // Timed phase: back-to-back sweeps. A traced run alternates traced and
-    // untraced sweeps so their rates give the tracing overhead.
-    let mut energy = Vec::new();
-    // Each sweep's bytes, and when each record reached the sink.
-    let mut outputs: Vec<(Vec<u8>, Vec<f64>)> = Vec::new();
-    let cpu0 = sys::self_cpu_s();
+    // Timed phase: back-to-back sweeps, at least one untraced and one
+    // traced, alternating so their rates give the tracing overhead.
+    let mut outputs: Vec<Vec<u8>> = Vec::new();
     let t0 = Instant::now();
     let mut op = 0u64;
-    while cfg.more(op, t0, seconds) {
-        let on = traced && op % 2 == 1;
+    while op < 2 || cfg.more(op, t0, seconds) {
+        let on = op % 2 == 1;
         tracer.set_on(on);
         let span = tracer.begin("sweep", None, op);
         let started = Instant::now();
         let run_span = tracer.begin("sweep.run_streaming", span, op);
         let mut sink = JsonlSink::new(Vec::with_capacity(1 << 18));
-        let mut delivered_ms = Vec::with_capacity(specs.len());
+        let mut records = 0u64;
         Campaign::with_threads(THREADS).run_streaming(&ctx, specs.clone(), |record| {
             let write = tracer.begin("sweep.sink_write", run_span, op);
             sink.write(&record).expect("in-memory sink");
             tracer.end(write);
-            delivered_ms.push(started.elapsed().as_secs_f64() * 1e3);
-            if op == 0 && matches!(record.kind, SchedulerKind::Grws | SchedulerKind::Joss) {
-                let joss = matches!(record.kind, SchedulerKind::Joss);
-                energy.push((record.workload.clone(), joss, record.report.total_j()));
-            }
+            records += 1;
         });
         let bytes = sink.into_inner()?;
         tracer.end(run_span);
@@ -88,24 +79,20 @@ pub fn run(cfg: &Cfg, seconds: f64, tracer: &mut Tracer) -> io::Result<Outcome> 
         out.push_op(
             t0.elapsed().as_secs_f64(),
             started.elapsed().as_secs_f64(),
-            delivered_ms.len() as u64,
+            records,
             on,
         );
-        outputs.push((bytes, delivered_ms));
+        outputs.push(bytes);
         op += 1;
     }
-    out.wall_s = t0.elapsed().as_secs_f64();
-    out.cpu_s = sys::self_cpu_s() - cpu0;
-    out.rss_peak_mb = sys::status_mb(None, "VmHWM");
-    tracer.set_on(traced);
-    out.energy_ratio = energy_ratio(energy.iter().map(|(w, joss, j)| (w.as_str(), *joss, *j)));
+    tracer.set_on(true);
 
     // Check every sweep after the timed phase: against the kept digest for
     // the default seed, else byte for byte against an offline reference
     // built through the batch path (`Campaign::run` + `to_jsonl`).
     let reference: Option<Vec<u8>> = (cfg.seed != DEFAULT_SEED)
         .then(|| to_jsonl(&Campaign::with_threads(THREADS).run(&ctx, specs.clone())).into_bytes());
-    for (op, (bytes, delivered_ms)) in outputs.iter().enumerate() {
+    for (op, bytes) in outputs.iter().enumerate() {
         let span = tracer.begin("verify", None, op as u64);
         let seen = cfg.seen(op as u64, bytes);
         let ok = match &reference {
@@ -113,30 +100,25 @@ pub fn run(cfg: &Cfg, seconds: f64, tracer: &mut Tracer) -> io::Result<Outcome> 
             None => fnv1a(&seen) == DEFAULT_DIGEST,
         };
         tracer.end(span);
-        if ok {
-            out.record_ms.extend(delivered_ms);
-        } else {
+        if !ok {
             out.fail_op(op);
         }
     }
     let walls: Vec<f64> = out.ops.iter().map(|o| o.ms / 1e3).collect();
-    let last_bytes = &outputs.last().expect("at least one sweep").0;
 
-    if traced {
-        let serial = crate::layers::engine_layers(&ctx, &specs, tracer, op);
-        if serial.bytes != *last_bytes {
-            eprintln!("perfbench: serial run_spec output differs from the campaign's");
-            out.failed += 1;
-        }
-        out.layers = vec![
-            ("models.train_ms", Some(median(&trains))),
-            ("workloads.build_ms", Some(median(&builds))),
-            (
-                "sweep.pool_busy_frac",
-                Some(serial.total_s / (THREADS as f64 * median(&walls))),
-            ),
-        ];
-        out.layers.extend(serial.layers);
+    let serial = crate::layers::engine_layers(&ctx, &specs, tracer, op);
+    if serial.bytes != *outputs.last().expect("at least one sweep") {
+        eprintln!("perfbench: serial run_spec output differs from the campaign's");
+        out.failed += 1;
     }
+    out.layers = vec![
+        ("models.train_ms", Some(median(&trains))),
+        ("workloads.build_ms", Some(median(&builds))),
+        (
+            "sweep.pool_busy_frac",
+            Some(serial.total_s / (THREADS as f64 * median(&walls))),
+        ),
+    ];
+    out.layers.extend(serial.layers);
     Ok(out)
 }
