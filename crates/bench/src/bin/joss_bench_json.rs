@@ -1,40 +1,18 @@
-//! Machine-readable perf snapshot: the hot-path benchmark numbers as one
-//! JSON artifact, so perf changes leave a reviewable trail.
+//! Machine-readable engine perf snapshot: the hot-path benchmark numbers
+//! as one JSON artifact.
 //!
 //! ```text
 //! joss_bench_json [--out FILE.json] [--runs N] [--search-iters N]
-//!                 [--serve-out FILE.json] [--serve-clients N] [--serve-requests M]
-//!                 [--fleet-out FILE.json] [--check] [--check-tolerance F]
 //! ```
 //!
 //! Measures the two benchmarks the engine optimizations are judged by —
 //! `engine_throughput` (simulated tasks per second of host time under the
 //! GRWS baseline) and `search_overhead` (configuration-search evaluations
 //! per second) — and writes a `BENCH_engine.json` snapshot (schema
-//! documented in `docs/PERF.md`). With `--serve-out` it additionally boots
-//! an in-process `joss-serve` daemon on an ephemeral port and snapshots
-//! the serving layer — cache-miss campaign latency, cache-hit latency
-//! under pipelined/keep-alive/close connection disciplines, and
-//! closed-loop throughput under concurrent clients — as
-//! `BENCH_serve.json` (`joss-bench-serve/v2`, also in `docs/PERF.md`).
-//! With `--fleet-out` it boots 1-vs-2 local backend
-//! fleets and snapshots sharded campaign latency as `BENCH_fleet.json`
-//! (`joss-bench-fleet/v3`) — including a *straggler* pair, one backend
-//! behind a ~4x throttling proxy, measured with the elastic
-//! work-stealing coordinator and again with the static plan — asserting
-//! the merges are byte-identical while it measures. The committed copies at the repo root are the perf
-//! trajectory: every PR that touches the hot path re-runs this tool and
-//! commits the diff, so regressions show up in review. Timings are
-//! host-dependent; compare only numbers recorded on the same machine.
-//!
-//! With `--check` the tool becomes a perf-regression *gate*: the `--out`/
-//! `--serve-out`/`--fleet-out` paths are read as committed baselines
-//! instead of overwritten, the fresh run is compared entry-by-entry with
-//! per-family tolerances (see `joss_bench::check`), a delta table is
-//! printed, and the process exits non-zero if any bench regressed.
-//! `--check-tolerance F` (a fraction, e.g. `0.5`) overrides every
-//! per-family default — the knob CI's advisory job loosens on shared
-//! runners.
+//! documented in `docs/PERF.md`). CI's telemetry overhead A/B compares two
+//! snapshots of the same code, one built with `--features telemetry-off`.
+//! Timings are host-dependent; compare only numbers recorded on the same
+//! machine. Serve and fleet are measured end to end by `perfbench/`.
 
 use joss_bench::shared_context;
 use joss_core::engine::{EngineConfig, SimEngine};
@@ -82,12 +60,6 @@ fn main() {
     let mut out_path = String::from("BENCH_engine.json");
     let mut runs = 5usize;
     let mut search_iters = 20_000usize;
-    let mut serve_out: Option<String> = None;
-    let mut serve_clients = 8usize;
-    let mut serve_requests = 4usize;
-    let mut fleet_out: Option<String> = None;
-    let mut check = false;
-    let mut check_tolerance: Option<f64> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -106,62 +78,14 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .expect("--search-iters N");
             }
-            "--serve-out" => {
-                i += 1;
-                serve_out = Some(args.get(i).expect("--serve-out needs a path").clone());
-            }
-            "--serve-clients" => {
-                i += 1;
-                serve_clients = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--serve-clients N");
-            }
-            "--serve-requests" => {
-                i += 1;
-                serve_requests = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--serve-requests M");
-            }
-            "--fleet-out" => {
-                i += 1;
-                fleet_out = Some(args.get(i).expect("--fleet-out needs a path").clone());
-            }
-            "--check" => check = true,
-            "--check-tolerance" => {
-                i += 1;
-                let f: f64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--check-tolerance F");
-                assert!(
-                    (0.0..1.0).contains(&f),
-                    "--check-tolerance is a fraction in [0, 1)"
-                );
-                check_tolerance = Some(f);
-            }
             other => {
-                eprintln!(
-                    "usage: joss_bench_json [--out FILE.json] [--runs N] [--search-iters N]\n\
-                     \u{20}                      [--serve-out FILE.json] [--serve-clients N] \
-                     [--serve-requests M]\n\
-                     \u{20}                      [--fleet-out FILE.json] [--check] \
-                     [--check-tolerance F]"
-                );
+                eprintln!("usage: joss_bench_json [--out FILE.json] [--runs N] [--search-iters N]");
                 panic!("unknown argument {other:?}");
             }
         }
         i += 1;
     }
-    assert!(runs >= 1 && search_iters >= 1 && serve_clients >= 1 && serve_requests >= 1);
-    let mode = if check {
-        Mode::Check {
-            tolerance: check_tolerance,
-        }
-    } else {
-        Mode::Write
-    };
+    assert!(runs >= 1 && search_iters >= 1);
 
     eprintln!("[joss_bench_json] building shared context...");
     let ctx = shared_context();
@@ -276,114 +200,14 @@ fn main() {
         steepest_descent_search(&est, true)
     });
 
-    let mut all_ok = emit_snapshot(
-        &mode,
-        &out_path,
-        "joss-bench-engine/v2",
-        &[],
-        runs,
-        &entries,
-    );
-
-    if let Some(serve_path) = serve_out {
-        all_ok &= serve_benches(&mode, &serve_path, runs, serve_clients, serve_requests);
-    }
-    if let Some(fleet_path) = fleet_out {
-        all_ok &= fleet_benches(&mode, &fleet_path, runs);
-    }
-    if check {
-        if !all_ok {
-            eprintln!("[joss_bench_json] PERF CHECK FAILED — see the delta tables above");
-            std::process::exit(1);
-        }
-        eprintln!("[joss_bench_json] perf check passed");
-    }
-}
-
-/// Whether snapshots are written (the default) or treated as committed
-/// baselines to gate against (`--check`).
-enum Mode {
-    Write,
-    Check { tolerance: Option<f64> },
-}
-
-/// Write the snapshot, or in check mode compare the fresh `entries`
-/// against the committed snapshot at `out_path` without touching it.
-/// Returns `false` only when a check found a regression (or could not
-/// read a comparable baseline, which must fail the gate too — a missing
-/// baseline checked against nothing would pass vacuously).
-fn emit_snapshot(
-    mode: &Mode,
-    out_path: &str,
-    schema: &str,
-    extras: &[(&str, String)],
-    runs: usize,
-    entries: &[Entry],
-) -> bool {
-    match mode {
-        Mode::Write => {
-            write_snapshot(out_path, schema, extras, runs, entries);
-            true
-        }
-        Mode::Check { tolerance } => check_snapshot(out_path, schema, *tolerance, entries),
-    }
-}
-
-fn check_snapshot(
-    baseline_path: &str,
-    schema: &str,
-    tolerance: Option<f64>,
-    entries: &[Entry],
-) -> bool {
-    use joss_bench::check;
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("[joss_bench_json] cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let (base_schema, baseline) = match check::parse_snapshot(&text) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("[joss_bench_json] bad baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    if base_schema != schema {
-        eprintln!(
-            "[joss_bench_json] baseline {baseline_path} speaks {base_schema:?} but this \
-             build writes {schema:?} — regenerate the snapshot before gating on it"
-        );
-        return false;
-    }
-    let fresh: Vec<check::BenchEntry> = entries
-        .iter()
-        .map(|e| check::BenchEntry {
-            name: e.name.to_string(),
-            unit: e.unit.to_string(),
-            rate: e.rate,
-            median_ns: e.stats.median_ns,
-        })
-        .collect();
-    let deltas = check::compare(&baseline, &fresh, tolerance);
-    println!("[joss_bench_json] check against {baseline_path}:");
-    print!("{}", check::render_table(&deltas));
-    !check::has_regression(&deltas)
+    write_snapshot(&out_path, runs, &entries);
 }
 
 /// Hand-rolled JSON (the vendored serde is a no-op): stable key order, one
-/// bench object per line for reviewable diffs. `extras` are pre-rendered
-/// JSON values appended after the common fields.
-fn write_snapshot(
-    out_path: &str,
-    schema: &str,
-    extras: &[(&str, String)],
-    runs: usize,
-    entries: &[Entry],
-) {
+/// bench object per line.
+fn write_snapshot(out_path: &str, runs: usize, entries: &[Entry]) {
     let mut json = String::new();
-    let _ = writeln!(json, "{{\n  \"schema\": \"{schema}\",");
+    let _ = writeln!(json, "{{\n  \"schema\": \"joss-bench-engine/v2\",");
     let _ = writeln!(
         json,
         "  \"host_cores\": {},",
@@ -392,9 +216,6 @@ fn write_snapshot(
             .unwrap_or(1)
     );
     let _ = writeln!(json, "  \"runs_per_bench\": {runs},");
-    for (key, value) in extras {
-        let _ = writeln!(json, "  \"{key}\": {value},");
-    }
     json.push_str("  \"benches\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let _ = write!(
@@ -409,480 +230,4 @@ fn write_snapshot(
     std::fs::write(out_path, &json).expect("write bench artifact");
     eprintln!("[joss_bench_json] wrote {out_path}");
     print!("{json}");
-}
-
-/// The serving-layer snapshot: boot an in-process daemon (ephemeral port,
-/// eager training so characterization never pollutes a sample) and measure
-/// the numbers the serve design is judged by — cold (cache-miss) campaign
-/// latency, the zero-copy cache-hit path under three connection
-/// disciplines (pipelined keep-alive steady state, serial keep-alive,
-/// legacy close-per-request), and closed-loop throughput under concurrent
-/// verified clients reusing their connections.
-fn serve_benches(
-    mode: &Mode,
-    out_path: &str,
-    runs: usize,
-    clients: usize,
-    requests: usize,
-) -> bool {
-    use joss_serve::{client, loadgen, LoadgenConfig, ServeConfig, Server};
-    use joss_sweep::{GridDesc, SchedulerKind};
-    use joss_workloads::Scale;
-    use std::time::Duration;
-
-    let desc = GridDesc {
-        workloads: vec!["DP".into()],
-        schedulers: vec![SchedulerKind::Grws, SchedulerKind::Joss],
-        seeds: vec![42],
-        scale: Scale::Divided(400),
-        record_trace: false,
-        shard: None,
-    };
-    let timeout = Duration::from_secs(120);
-
-    eprintln!("[joss_bench_json] booting in-process joss-serve (reps=1, eager training)...");
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: clients + 4,
-        max_inflight: clients.max(2),
-        reps: 1,
-        ..ServeConfig::default()
-    })
-    .expect("bind ephemeral serve port");
-    server.train();
-    let handle = server.spawn().expect("spawn serve daemon");
-    let addr = handle.addr().to_string();
-    let mut entries: Vec<Entry> = Vec::new();
-    let lat_samples = (runs * 2).max(6);
-
-    // Cache-miss latency: a unique seed per request defeats the cache, so
-    // every sample pays a full (tiny-grid) simulation.
-    let mut samples = Vec::with_capacity(lat_samples);
-    for it in 0..lat_samples {
-        let mut miss = desc.clone();
-        miss.seeds = vec![0xbe9c_0000 + it as u64];
-        let t0 = Instant::now();
-        let resp = client::run_campaign(&addr, &miss, timeout).expect("miss request");
-        let ns = t0.elapsed().as_nanos() as f64;
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.header("x-joss-cache"), Some("miss"));
-        client::verify_body(&miss, &resp.body).expect("verified records");
-        samples.push(ns);
-    }
-    let st = stats(samples);
-    entries.push(Entry {
-        name: "serve/campaign_miss",
-        unit: "req_per_sec",
-        rate: 1e9 / st.median_ns,
-        stats: st,
-    });
-    eprintln!(
-        "[joss_bench_json] serve/campaign_miss: {:.3} ms/req",
-        st.median_ns / 1e6
-    );
-
-    // Cache-hit latency: prime once, then measure the zero-copy replay
-    // path under three framings of the same request.
-    let prime = client::run_campaign(&addr, &desc, timeout).expect("prime request");
-    assert_eq!(prime.status, 200);
-
-    // `campaign_hit` — steady state: one kept-alive connection carrying
-    // pipelined requests (depth 32). Each request resolves through the
-    // raw-body memo (no JSON parsing) to the shared cached body and is
-    // answered with a single vectored write; the pipelined batch
-    // amortizes syscalls and scheduler switches the way a saturating
-    // caller would. This is the number the nonblocking rewrite is judged
-    // by (`docs/PERF.md` has the before/after).
-    {
-        use std::io::{BufReader, Write as _};
-        let canonical = desc.to_canonical_json();
-        let one = format!(
-            "POST /v1/campaign HTTP/1.1\r\nHost: {addr}\r\n\
-             Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{}",
-            canonical.len(),
-            canonical
-        );
-        let depth = 32usize;
-        let batch = one.repeat(depth).into_bytes();
-        let stream = std::net::TcpStream::connect(&addr).expect("hit conn");
-        stream.set_nodelay(true).expect("nodelay");
-        stream
-            .set_read_timeout(Some(timeout))
-            .expect("read timeout");
-        let mut writer = stream.try_clone().expect("clone stream");
-        let mut reader = BufReader::new(stream);
-        let batches = (runs * 4).max(20);
-        let mut samples = Vec::with_capacity(batches);
-        for it in 0..=batches {
-            let t0 = Instant::now();
-            writer.write_all(&batch).expect("pipelined batch");
-            for _ in 0..depth {
-                let resp = joss_serve::http::read_response(&mut reader).expect("hit response");
-                assert_eq!(resp.status, 200);
-                assert_eq!(resp.header("x-joss-cache"), Some("hit"));
-                assert_eq!(resp.body, prime.body, "cache must replay identical bytes");
-                black_box(resp);
-            }
-            // First batch is warm-up (memo + branch predictors).
-            if it > 0 {
-                samples.push(t0.elapsed().as_nanos() as f64 / depth as f64);
-            }
-        }
-        let st = stats(samples);
-        entries.push(Entry {
-            name: "serve/campaign_hit",
-            unit: "req_per_sec",
-            rate: 1e9 / st.median_ns,
-            stats: st,
-        });
-        eprintln!(
-            "[joss_bench_json] serve/campaign_hit: {:.1} us/req (pipelined x{depth})",
-            st.median_ns / 1e3
-        );
-    }
-
-    // `campaign_hit_keepalive` — one connection, serial request/response:
-    // dial once, then `hit_per_conn` strict round trips. Amortizes the
-    // dial but pays a full client/server turnaround per request.
-    {
-        let hit_per_conn = 16usize;
-        let mut samples = Vec::with_capacity(lat_samples);
-        for _ in 0..lat_samples {
-            let t0 = Instant::now();
-            let mut conn = client::Conn::connect(&addr, timeout).expect("keep-alive conn");
-            for _ in 0..hit_per_conn {
-                let resp = conn.run_campaign(&desc).expect("hit request");
-                assert_eq!(resp.header("x-joss-cache"), Some("hit"));
-                assert_eq!(resp.body, prime.body, "cache must replay identical bytes");
-                black_box(resp);
-            }
-            samples.push(t0.elapsed().as_nanos() as f64 / hit_per_conn as f64);
-        }
-        let st = stats(samples);
-        entries.push(Entry {
-            name: "serve/campaign_hit_keepalive",
-            unit: "req_per_sec",
-            rate: 1e9 / st.median_ns,
-            stats: st,
-        });
-        eprintln!(
-            "[joss_bench_json] serve/campaign_hit_keepalive: {:.1} us/req ({hit_per_conn}/conn)",
-            st.median_ns / 1e3
-        );
-    }
-
-    // `campaign_hit_close` — the legacy shape: dial, one request with
-    // `Connection: close`, read to EOF. Directly comparable to the
-    // pre-keep-alive snapshots of this artifact.
-    let mut samples = Vec::with_capacity(lat_samples);
-    for _ in 0..lat_samples {
-        let t0 = Instant::now();
-        let resp = client::run_campaign(&addr, &desc, timeout).expect("hit request");
-        let ns = t0.elapsed().as_nanos() as f64;
-        assert_eq!(resp.header("x-joss-cache"), Some("hit"));
-        assert_eq!(resp.body, prime.body, "cache must replay identical bytes");
-        samples.push(ns);
-    }
-    let st = stats(samples);
-    entries.push(Entry {
-        name: "serve/campaign_hit_close",
-        unit: "req_per_sec",
-        rate: 1e9 / st.median_ns,
-        stats: st,
-    });
-    eprintln!(
-        "[joss_bench_json] serve/campaign_hit_close: {:.3} ms/req",
-        st.median_ns / 1e6
-    );
-
-    // Closed-loop throughput: N concurrent verified clients hammering the
-    // same grid (one miss, then hits) — the "heavy traffic" shape.
-    let mut config = LoadgenConfig::new(addr, desc.clone());
-    config.clients = clients;
-    config.requests_per_client = requests;
-    let report = loadgen::run(&config);
-    assert_eq!(report.ok, clients * requests, "all requests must succeed");
-    assert_eq!(report.malformed, 0, "{:?}", report.first_malformation);
-    assert_eq!(report.errors, 0);
-    entries.push(Entry {
-        name: "serve/closed_loop_throughput",
-        unit: "req_per_sec",
-        rate: report.throughput_rps(),
-        stats: Stats {
-            min_ns: report.percentile(0.0).as_nanos() as f64,
-            median_ns: report.percentile(50.0).as_nanos() as f64,
-            max_ns: report.percentile(100.0).as_nanos() as f64,
-        },
-    });
-    eprintln!(
-        "[joss_bench_json] serve/closed_loop_throughput: {:.0} req/s ({} clients)",
-        report.throughput_rps(),
-        clients
-    );
-    handle.stop().expect("stop serve daemon");
-
-    emit_snapshot(
-        mode,
-        out_path,
-        "joss-bench-serve/v2",
-        &[
-            ("serve_clients", clients.to_string()),
-            ("serve_requests_per_client", requests.to_string()),
-            ("grid_specs", desc.spec_count().to_string()),
-            ("train_reps", "1".to_string()),
-        ],
-        runs,
-        &entries,
-    )
-}
-
-/// The fleet-layer snapshot: the same campaign run through one local
-/// backend, through two, and through two with one of them throttled to a
-/// straggler — with the elastic work-stealing coordinator and with the
-/// static plan — so the scale-out factor, the coordination overhead it
-/// pays for, and the rebalancing payoff all leave a reviewable trail.
-/// Every sample defeats the backends' results caches *and* spec stores
-/// with fresh seeds, so the numbers measure sharded simulation, not
-/// replay — and the merges are asserted byte-identical while the clock
-/// runs.
-fn fleet_benches(mode: &Mode, out_path: &str, runs: usize) -> bool {
-    use joss_fleet::{
-        run_fleet, spawn_local_backends_with, FleetConfig, FleetSession, ThrottleProxy,
-    };
-    use joss_serve::ServeConfig;
-    use joss_sweep::{GridDesc, SchedulerKind};
-    use joss_workloads::Scale;
-
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    eprintln!("[joss_bench_json] booting 2 local backends (reps=1, eager training)...");
-    let template = ServeConfig {
-        reps: 1,
-        workers: 4,
-        max_inflight: 2,
-        // Split the host between the two daemons, as --spawn would.
-        campaign_threads: host_threads.div_ceil(2),
-        ..ServeConfig::default()
-    };
-    let handles = spawn_local_backends_with(2, &template, true).expect("spawn local backends");
-    let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
-
-    // Six cheap workloads x 2 schedulers x 4 seeds = 48 specs: enough
-    // work that a 1-core host still has room to pipeline two backends,
-    // and that a straggler's range holds a tail worth stealing.
-    let base = GridDesc {
-        workloads: vec![
-            "DP".into(),
-            "FB".into(),
-            "MM_256_dop4".into(),
-            "HT_Small".into(),
-            "MC_4096_dop4".into(),
-            "ST_512_dop4".into(),
-        ],
-        schedulers: vec![SchedulerKind::Grws, SchedulerKind::Joss],
-        seeds: vec![42, 7, 13, 99],
-        scale: Scale::Divided(400),
-        record_trace: false,
-        shard: None,
-    };
-    // `shards`: the healthy 1-vs-2 pair pins the same 8-range plan on
-    // both topologies so the comparison varies only the backend count;
-    // the straggler pair uses each coordinator's own default plan (8
-    // micro-ranges elastic, 4 static) — that before/after gap is the
-    // thing being measured.
-    let fleet_config = |backends: Vec<String>, shards: usize, steal: bool| FleetConfig {
-        shards,
-        steal,
-        expect_train_seed: Some(42),
-        expect_reps: Some(1),
-        ..FleetConfig::new(backends)
-    };
-
-    // Cross-topology identity before the clock runs: 1-backend and
-    // 2-backend merges of the same grid must be the same bytes. The
-    // first (cold) run is timed — it calibrates the straggler throttle
-    // below against the host's cold delivery pace.
-    let mut one = Vec::new();
-    let t0 = Instant::now();
-    run_fleet(&fleet_config(addrs[..1].to_vec(), 8, true), &base, &mut one)
-        .expect("1-backend campaign");
-    let cold_secs = t0.elapsed().as_secs_f64();
-    let mut two = Vec::new();
-    run_fleet(&fleet_config(addrs.clone(), 8, true), &base, &mut two).expect("2-backend campaign");
-    assert_eq!(one, two, "backend count changed the merged bytes");
-    let body_bytes = one.len();
-
-    let lat_samples = (runs * 2).max(6);
-    let mut entries: Vec<Entry> = Vec::new();
-    // The benches come in A/B pairs whose *comparison* is the headline
-    // number, so samples interleave A,B,A,B,... — host-wide slowdowns
-    // (another tenant, frequency steps) land on both sides of each pair
-    // instead of biasing whichever bench ran last.
-    //
-    // `fresh`: cold samples draw unique seeds per (bench, side, sample)
-    // so no backend can serve a range from its spec store — simulation
-    // misses are what's being measured. Warm samples re-run the base
-    // grid: steady-state re-execution, where the store answers and the
-    // clock sees only coordination plus delivery.
-    let mut bench_pair = |names: [&'static str; 2],
-                          bench_idx: u64,
-                          fresh: bool,
-                          configs: [&FleetConfig; 2]| {
-        if !fresh {
-            // Prime every backend's store with ALL ranges of the plan
-            // (claim order is nondeterministic, so any backend may be
-            // handed any range once the clock runs), then one combined
-            // warmup per topology for the coordination path itself.
-            for config in configs {
-                for addr in &config.backends {
-                    let mut warm = Vec::new();
-                    let solo = FleetConfig {
-                        backends: vec![addr.clone()],
-                        ..config.clone()
-                    };
-                    run_fleet(&solo, &base, &mut warm).expect("fleet store prime");
-                    assert_eq!(warm, one, "priming changed the merged bytes");
-                }
-                let mut warm = Vec::new();
-                run_fleet(config, &base, &mut warm).expect("fleet warmup");
-                assert_eq!(warm, one, "warmup changed the merged bytes");
-            }
-        }
-        // One resident session per topology: each sample measures a
-        // campaign dispatched through an already-connected fleet (the
-        // steady-state shape — probe and worker dials amortized), not
-        // per-campaign setup.
-        let sessions = [
-            FleetSession::connect(configs[0]).expect("fleet session"),
-            FleetSession::connect(configs[1]).expect("fleet session"),
-        ];
-        // Two untimed laps per session: a fresh session's first campaigns
-        // pay first-exchange costs on the pooled connections.
-        for session in &sessions {
-            for _ in 0..2 {
-                let mut warm = Vec::new();
-                session.run(&base, &mut warm).expect("fleet session warmup");
-                assert_eq!(warm, one, "session warmup changed the merged bytes");
-            }
-        }
-        let mut samples = [Vec::new(), Vec::new()];
-        let mut steals_total = [0usize; 2];
-        for it in 0..lat_samples {
-            // Alternate which side goes first so slow drift (frequency
-            // steps, another tenant ramping) cancels in the pairing
-            // rather than always taxing the same side.
-            let order = if it % 2 == 0 { [0, 1] } else { [1, 0] };
-            for side in order {
-                let session = &sessions[side];
-                let desc = if fresh {
-                    let tag = bench_idx << 21 | (side as u64) << 20 | it as u64;
-                    let mut desc = base.clone();
-                    desc.seeds = vec![
-                        0xf1ee_0000 + tag,
-                        0xf1ee_4000 + tag,
-                        0xf1ee_8000 + tag,
-                        0xf1ee_c000 + tag,
-                    ];
-                    desc
-                } else {
-                    base.clone()
-                };
-                let mut merged = Vec::new();
-                let t0 = Instant::now();
-                let report = session.run(&desc, &mut merged).expect("fleet campaign");
-                let ns = t0.elapsed().as_nanos() as f64;
-                assert_eq!(report.records, desc.spec_count());
-                assert_eq!(report.failovers, 0);
-                if !fresh {
-                    assert_eq!(merged, one, "steady-state run changed the merged bytes");
-                }
-                steals_total[side] += report.steals;
-                samples[side].push(ns);
-            }
-        }
-        for (side, name) in names.into_iter().enumerate() {
-            let st = stats(std::mem::take(&mut samples[side]));
-            entries.push(Entry {
-                name,
-                unit: "campaigns_per_sec",
-                rate: 1e9 / st.median_ns,
-                stats: st,
-            });
-            eprintln!(
-                "[joss_bench_json] {name}: {:.3} ms/campaign (steals {} over {lat_samples} samples)",
-                st.median_ns / 1e6,
-                steals_total[side]
-            );
-        }
-    };
-
-    bench_pair(
-        ["fleet/campaign_1_backend", "fleet/campaign_2_backends"],
-        1,
-        false,
-        [
-            &fleet_config(addrs[..1].to_vec(), 8, true),
-            &fleet_config(addrs.clone(), 8, true),
-        ],
-    );
-
-    // Straggler pair: backend 1 goes behind a proxy that meters its
-    // responses to a twelfth of the cold single-backend delivery rate,
-    // so its ranges arrive ~12x slower than it simulates them. The
-    // elastic run steals the slow tails; the static run must sit them
-    // out.
-    let throttle_rate = ((body_bytes as f64 / cold_secs / 12.0) as u64).clamp(2_000, 50_000_000);
-    eprintln!(
-        "[joss_bench_json] straggler throttle: {throttle_rate} B/s (~12x on a {body_bytes}-byte body)"
-    );
-    let proxy = ThrottleProxy::spawn(&addrs[1], throttle_rate).expect("throttle proxy");
-    let straggler_addrs = vec![addrs[0].clone(), proxy.addr().to_string()];
-    // Identity holds through the throttle and any steal schedule.
-    let mut throttled = Vec::new();
-    run_fleet(
-        &fleet_config(straggler_addrs.clone(), 0, true),
-        &base,
-        &mut throttled,
-    )
-    .expect("straggler campaign");
-    assert_eq!(throttled, one, "the straggler topology changed the bytes");
-
-    bench_pair(
-        [
-            "fleet/campaign_2_backends_straggler",
-            "fleet/campaign_2_backends_straggler_static",
-        ],
-        3,
-        true,
-        [
-            &fleet_config(straggler_addrs.clone(), 0, true),
-            &fleet_config(straggler_addrs.clone(), 0, false),
-        ],
-    );
-    drop(proxy);
-
-    for handle in handles {
-        handle.stop().expect("stop local backend");
-    }
-    emit_snapshot(
-        mode,
-        out_path,
-        "joss-bench-fleet/v3",
-        &[
-            ("fleet_backends_max", "2".to_string()),
-            // Auto plans: MICRO_FACTOR ranges per backend when stealing,
-            // two per backend for the static comparator.
-            ("fleet_micro_factor", "4".to_string()),
-            ("fleet_static_shards_per_backend", "2".to_string()),
-            ("grid_specs", base.spec_count().to_string()),
-            (
-                "straggler_throttle_bytes_per_sec",
-                throttle_rate.to_string(),
-            ),
-            ("train_reps", "1".to_string()),
-        ],
-        runs,
-        &entries,
-    )
 }

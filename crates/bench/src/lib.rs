@@ -8,14 +8,15 @@
 //! * `ablations` — frequency-coordination heuristics (§5.3) and task
 //!   coarsening thresholds;
 //! * `engine_throughput` — discrete-event engine event rate;
-//! * `native_executor` — the real threaded work-stealing executor.
+//! * `equeue_vs_heap` — the calendar event queue against a binary heap;
+//! * `sweep_throughput` — campaign executor throughput and thread scaling;
+//! * `telemetry_overhead` — telemetry recording cost, and the engine with
+//!   telemetry enabled vs runtime-disabled.
 //!
 //! Shared fixtures live here in the library crate.
 
 use joss_experiments::ExperimentContext;
 use std::sync::OnceLock;
-
-pub mod check;
 
 /// A shared, lazily built experiment context so every bench reuses one
 /// platform characterization (training is the expensive one-time step).

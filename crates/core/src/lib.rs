@@ -16,9 +16,7 @@
 //! * [`sampling`] — the per-kernel online sampling state machine (§5.1);
 //! * [`coordination`] — frequency coordination heuristics for shared
 //!   resources (§5.3);
-//! * [`metrics`] — run reports (energy, makespan, overhead counters);
-//! * [`native`] — a real multithreaded work-stealing executor validating the
-//!   runtime API on OS threads (no DVFS; wall-clock time).
+//! * [`metrics`] — run reports (energy, makespan, overhead counters).
 //!
 //! ## Quick start
 //!
@@ -54,7 +52,6 @@ pub mod coordination;
 pub mod engine;
 pub mod equeue;
 pub mod metrics;
-pub mod native;
 pub mod placement;
 pub mod sampling;
 pub mod sched;

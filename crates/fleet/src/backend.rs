@@ -79,7 +79,8 @@ pub fn is_alive(addr: &str, timeout: Duration) -> bool {
     client::get(addr, "/healthz", timeout).is_ok_and(|r| r.status == 200)
 }
 
-/// Live progress of one campaign on one backend, read from `GET /stats`.
+/// Live progress of one campaign on one backend, read from
+/// `GET /v1/progress`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignProgress {
     /// Specs the backend has emitted for this campaign so far.
@@ -90,16 +91,14 @@ pub struct CampaignProgress {
     pub queue_depth: u64,
 }
 
-/// Poll a backend for the progress of the campaign whose formatted spec
-/// hash is `hash` (the `X-Joss-Spec-Hash` spelling). Prefers the
-/// dedicated `GET /v1/progress` endpoint (which carries richer
-/// per-campaign state) and falls back to scanning `GET /stats` — mixed
-/// fleets with backends predating the progress plane keep working.
+/// Poll a backend's `GET /v1/progress` for the campaign whose formatted
+/// spec hash is `hash` (the `X-Joss-Spec-Hash` spelling).
 ///
 /// `Ok(Some(_))` — the campaign is actively executing there;
 /// `Ok(None)` — the backend answered but is not currently executing that
 /// campaign (finished, still queued, or served from cache);
-/// `Err(_)` — the backend did not answer, or sent unparseable stats.
+/// `Err(_)` — the backend did not answer, answered with a non-200 status,
+/// or sent a body without an `active` array.
 ///
 /// This is the coordinator's steal-side sanity check: before re-issuing
 /// part of an in-flight range elsewhere, it confirms the victim backend
@@ -109,57 +108,37 @@ pub fn fetch_progress(
     hash: &str,
     timeout: Duration,
 ) -> Result<Option<CampaignProgress>, String> {
-    if let Ok(response) = client::get(addr, "/v1/progress", timeout) {
-        if response.status == 200 {
-            let text = String::from_utf8_lossy(&response.body).into_owned();
-            if let Ok(parsed) = json::parse(&text) {
-                if parsed.get("active").and_then(Value::as_array).is_some() {
-                    return Ok(scan_progress(&parsed, "active", hash));
-                }
-            }
-        }
-    }
-    let response = client::get(addr, "/stats", timeout)
-        .map_err(|e| format!("backend {addr} failed its stats probe: {e}"))?;
+    let response = client::get(addr, "/v1/progress", timeout)
+        .map_err(|e| format!("backend {addr} failed its progress probe: {e}"))?;
     if response.status != 200 {
         return Err(format!(
-            "backend {addr} answered /stats with {}",
+            "backend {addr} answered /v1/progress with {}",
             response.status
         ));
     }
-    let text = String::from_utf8_lossy(&response.body).into_owned();
-    let parsed =
-        json::parse(&text).map_err(|e| format!("backend {addr} sent unparseable stats: {e}"))?;
-    if parsed
-        .get("active_campaigns")
-        .and_then(Value::as_array)
-        .is_none()
-    {
-        // A pre-elastic backend: no progress feed. Treat as "not running".
-        return Ok(None);
-    }
-    Ok(scan_progress(&parsed, "active_campaigns", hash))
+    parse_progress(&String::from_utf8_lossy(&response.body), hash)
+        .map_err(|e| format!("backend {addr} sent a bad /v1/progress body: {e}"))
 }
 
-/// Find `hash` in a progress document's campaign array (`active` in
-/// `/v1/progress`, `active_campaigns` in `/stats` — same entry shape).
-fn scan_progress(parsed: &Value, array_key: &str, hash: &str) -> Option<CampaignProgress> {
+/// Find `hash` in a `/v1/progress` document's `active` array.
+fn parse_progress(body: &str, hash: &str) -> Result<Option<CampaignProgress>, String> {
+    let parsed = json::parse(body)?;
+    let active = parsed
+        .get("active")
+        .and_then(Value::as_array)
+        .ok_or("no \"active\" array")?;
     let queue_depth = parsed
         .get("executor_queue_depth")
         .and_then(Value::as_u64)
         .unwrap_or(0);
-    for entry in parsed.get(array_key).and_then(Value::as_array)? {
-        if entry.get("hash").and_then(Value::as_str) == Some(hash) {
-            let completed = entry.get("completed").and_then(Value::as_u64).unwrap_or(0);
-            let total = entry.get("total").and_then(Value::as_u64).unwrap_or(0);
-            return Some(CampaignProgress {
-                completed,
-                total,
-                queue_depth,
-            });
-        }
-    }
-    None
+    Ok(active
+        .iter()
+        .find(|entry| entry.get("hash").and_then(Value::as_str) == Some(hash))
+        .map(|entry| CampaignProgress {
+            completed: entry.get("completed").and_then(Value::as_u64).unwrap_or(0),
+            total: entry.get("total").and_then(Value::as_u64).unwrap_or(0),
+            queue_depth,
+        }))
 }
 
 /// Refuse a fleet whose backends would produce unmergeable records:
@@ -250,6 +229,37 @@ mod tests {
             err.contains("train_seed") && err.contains("pre-fleet"),
             "{err}"
         );
+    }
+
+    /// A `/v1/progress` document as `joss-serve` renders it.
+    const PROGRESS: &str = "{\"progress_schema\":1,\"uptime_secs\":3,\
+        \"executor_queue_depth\":2,\"active\":[{\"hash\":\"00000000000000aa\",\
+        \"completed\":5,\"total\":12,\"records_streamed\":5,\"store_spliced\":0,\
+        \"elapsed_ms\":40,\"specs_per_sec\":125.000,\"eta_ms\":56}],\
+        \"totals\":{\"campaigns_executed\":1,\"cache_hits\":0,\"store_hits\":0,\
+        \"store_spec_hits\":0,\"records_streamed\":5,\"handler_panics\":0}}";
+
+    #[test]
+    fn progress_parse_finds_live_campaigns_only() {
+        assert_eq!(
+            parse_progress(PROGRESS, "00000000000000aa"),
+            Ok(Some(CampaignProgress {
+                completed: 5,
+                total: 12,
+                queue_depth: 2,
+            }))
+        );
+        assert_eq!(parse_progress(PROGRESS, "00000000000000bb"), Ok(None));
+    }
+
+    #[test]
+    fn progress_parse_rejects_bodies_without_an_active_array() {
+        // A `/stats` body carries no `active` array: there is no fallback.
+        let stats = "{\"stats_schema\":3,\"executor_queue_depth\":0,\
+            \"active_campaigns\":[{\"hash\":\"00000000000000aa\",\"completed\":5,\"total\":12}]}";
+        for body in [stats, "{\"progress_schema\":1}", "not json"] {
+            assert!(parse_progress(body, "00000000000000aa").is_err(), "{body}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! is cut into micro-ranges — [`ShardPlan::MICRO_FACTOR`] per backend —
 //! so the queue always has spare work, and when it runs dry an idle
 //! worker picks the in-flight range with the most undelivered lines,
-//! polls the victim backend's `/stats` (reachability + live
+//! polls the victim backend's `/v1/progress` (reachability + live
 //! specs-completed progress — the informed-steal signal), atomically
 //! shrinks the victim's **effective end** to the midpoint of its
 //! undelivered tail, and re-issues the tail as a fresh queue task. The
@@ -84,7 +84,7 @@ const STEAL_GRACE: Duration = Duration::from_millis(25);
 /// candidate is often an age gate a few milliseconds from expiring, and
 /// a coarse wait would sleep straight through the window where stealing
 /// still saves wall-clock. Each tick only inspects the registry under
-/// the lock — the expensive `/stats` poll happens once a candidate is
+/// the lock — the expensive progress poll happens once a candidate is
 /// actually old enough ([`pick_victim`]).
 const STEAL_RETRY: Duration = Duration::from_millis(10);
 
@@ -302,7 +302,7 @@ struct InFlight {
     /// Resume skip of the running attempt (`lines_done` at claim).
     skip: usize,
     /// Formatted spec hash of the running sub-request, for matching the
-    /// victim backend's `/stats` `active_campaigns` feed.
+    /// victim backend's `/v1/progress` `active` feed.
     sub_hash: String,
     /// When this attempt was claimed (the compute-bound-straggler clock).
     claimed_at: Instant,
@@ -649,7 +649,8 @@ fn pick_victim(st: &QueueState, thief: usize, config: &FleetConfig) -> Option<St
         })
 }
 
-/// The informed-steal gate, fed by the victim backend's `/stats` poll.
+/// The informed-steal gate, fed by the victim backend's `/v1/progress`
+/// poll.
 /// A healthy range delivers as fast as it produces, so its production
 /// lead stays near zero and stealing it would only duplicate simulation;
 /// steal only from ranges that are **delivery-bound** (produced at least
@@ -803,7 +804,7 @@ fn fetch_worker(
             }
             if may_steal {
                 if let Some(plan) = pick_victim(&st, b, config) {
-                    // Poll the victim backend's /stats without the lock,
+                    // Poll the victim backend's /v1/progress without the lock,
                     // then gate on what it says (see [`steal_justified`]):
                     // only genuinely lagging ranges are worth re-issuing.
                     drop(st);
@@ -852,7 +853,7 @@ fn fetch_worker(
             }
             // While another backend holds an in-flight range, tick on the
             // short steal cadence (checking the registry is just a lock;
-            // the expensive /stats poll is age-gated in [`pick_victim`]).
+            // the expensive progress poll is age-gated in [`pick_victim`]).
             // Otherwise a lazy wait — completion notifies.
             let wait = if config.steal
                 && st

@@ -24,7 +24,7 @@
 //! * [`local`] — boot N in-process daemons for single-machine scale-out
 //!   (`joss_fleet --spawn N`) and tests;
 //! * [`throttle`] — [`ThrottleProxy`], a rate-limiting TCP proxy that
-//!   manufactures stragglers for steal tests, benches, and CI.
+//!   manufactures stragglers for steal tests and CI.
 //!
 //! The invariant everything hangs off, extending the serve layer's:
 //! **fleet-merged bytes are identical to a single-node
@@ -51,6 +51,6 @@ pub use backend::{
     fetch_progress, is_alive, probe, verify_compatible, BackendInfo, CampaignProgress,
 };
 pub use coordinator::{run_fleet, FleetConfig, FleetError, FleetReport, FleetSession};
-pub use local::{spawn_local_backends, spawn_local_backends_with};
+pub use local::spawn_local_backends;
 pub use merge::OrderedMerger;
 pub use throttle::ThrottleProxy;

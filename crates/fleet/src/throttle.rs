@@ -5,12 +5,12 @@
 //! healthy backend into a straggler without touching its simulation —
 //! exactly the failure shape elastic rebalancing exists for (the backend
 //! computes at full speed; its records just trickle out). Used by the
-//! fleet steal tests, the `fleet/campaign_2_backends_straggler` bench, and
-//! — via the `joss_throttle_proxy` binary — the CI slow-backend scenario.
+//! fleet steal tests and — via the `joss_throttle_proxy` binary — the CI
+//! slow-backend scenario.
 //!
 //! The proxy is protocol-agnostic (a dumb splice), so it also carries
-//! `/healthz` probes and `/stats` polls; those are small and pay at most a
-//! few chunk delays.
+//! `/healthz` probes and `/v1/progress` polls; those are small and pay at
+//! most a few chunk delays.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};

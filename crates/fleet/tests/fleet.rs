@@ -142,7 +142,7 @@ fn an_idle_backend_steals_from_a_throttled_straggler_byte_identically() {
     let reference = offline_jsonl(&desc);
     let handles = spawn_local_backends(2, &backend_template()).expect("spawn backends");
     // 600 B/s: a multi-spec range takes whole seconds to trickle through
-    // the proxy, while /healthz probes and /stats steal polls (a few
+    // the proxy, while /healthz probes and /v1/progress steal polls (a few
     // hundred bytes) still land inside their 2s read timeouts.
     let proxy =
         joss_fleet::ThrottleProxy::spawn(&handles[1].addr().to_string(), 600).expect("proxy spawn");

@@ -228,8 +228,8 @@ impl JobQueue {
 }
 
 /// Live progress of one executing campaign, registered for the duration
-/// of its `run_job` and exposed in `GET /stats` as `active_campaigns` —
-/// the per-campaign specs-completed / specs-total signal an elastic fleet
+/// of its `run_job` and exposed in `GET /v1/progress` as `active` — the
+/// per-campaign specs-completed / specs-total signal an elastic fleet
 /// coordinator reads before stealing part of a straggler's range.
 pub(crate) struct ActiveCampaign {
     /// Formatted spec hash of the (possibly sharded) request.
@@ -263,7 +263,7 @@ pub(crate) struct State {
     pub(crate) jobs: JobQueue,
     /// Jobs admitted but not yet finished (keeps shutdown honest).
     pub(crate) active_jobs: AtomicUsize,
-    /// Campaigns currently streaming records, for `/stats` progress.
+    /// Campaigns currently streaming records, for `/v1/progress`.
     pub(crate) active_campaigns: Mutex<Vec<Arc<ActiveCampaign>>>,
     /// Connection keys with executor-side progress to flush.
     pub(crate) wakes: Mutex<Vec<usize>>,
@@ -285,7 +285,7 @@ const RECENT_PANICS_CAP: usize = 8;
 const RECENT_REQUESTS_CAP: usize = 32;
 
 /// RAII registration of an [`ActiveCampaign`]: deregisters on drop, so a
-/// panicking handler cannot leave a ghost entry in `/stats`.
+/// panicking handler cannot leave a ghost entry in `/v1/progress`.
 struct ProgressGuard<'a> {
     state: &'a State,
     entry: Arc<ActiveCampaign>,
@@ -395,31 +395,6 @@ impl State {
     }
 
     pub(crate) fn stats_json(&self) -> String {
-        // Snapshot live campaign progress: `[{"hash":..,"completed":..,
-        // "total":..}, ...]`, one entry per campaign an executor is
-        // currently streaming.
-        let mut active = String::from("[");
-        for (i, entry) in self
-            .active_campaigns
-            .lock()
-            .expect("active campaigns")
-            .iter()
-            .enumerate()
-        {
-            if i > 0 {
-                active.push(',');
-            }
-            let _ = std::fmt::Write::write_fmt(
-                &mut active,
-                format_args!(
-                    "{{\"hash\":{},\"completed\":{},\"total\":{}}}",
-                    joss_sweep::json::quote(&entry.hash),
-                    entry.completed.load(Ordering::Relaxed),
-                    entry.total,
-                ),
-            );
-        }
-        active.push(']');
         // Recent panic request ids, oldest first.
         let mut panics = String::from("[");
         for (i, rid) in self
@@ -472,11 +447,11 @@ impl State {
             )
         };
         format!(
-            "{{\"stats_schema\":3,\"uptime_secs\":{},\
+            "{{\"stats_schema\":4,\"uptime_secs\":{},\
              \"requests\":{},\"connections\":{},\"campaigns_executed\":{},\"cache_hits\":{},\
              \"rejected_503\":{},\"bad_requests\":{},\"records_streamed\":{},\
              \"io_errors\":{},\"handler_panics\":{},\"store_hits\":{},\"store_spec_hits\":{},\
-             \"store_lines\":{},\"executor_queue_depth\":{},\"active_campaigns\":{},\
+             \"store_lines\":{},\"executor_queue_depth\":{},\
              \"cached_grids\":{},\"trained\":{},\
              \"max_inflight\":{},\"available_permits\":{},\"train_seed\":{},\"reps\":{},\
              \"recent_panic_request_ids\":{panics},\"fleet\":{fleet},\
@@ -495,7 +470,6 @@ impl State {
             Stats::get(&self.stats.store_spec_hits),
             self.store.lines(),
             self.jobs.len(),
-            active,
             self.cache.len(),
             self.ctx.get().is_some(),
             self.admission.limit(),
@@ -770,7 +744,7 @@ fn run_job(state: &Arc<State>, job: Job) {
         state.wake(key);
     }
 
-    // Register live progress for `/stats` (the fleet's steal signal);
+    // Register live progress for `/v1/progress` (the fleet's steal signal);
     // deregistered on every exit path, including panics, by the guard.
     let progress = Arc::new(ActiveCampaign {
         hash: hash.clone(),

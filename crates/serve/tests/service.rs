@@ -751,17 +751,7 @@ fn spec_store_serves_overlapping_shards_without_resimulating() {
     assert_eq!(count("store_spec_hits"), 2, "specs 2 and 3 were stored");
     assert_eq!(count("store_hits"), 1, "[1,3) was fully covered");
     assert_eq!(count("store_lines"), 6, "every spec of the grid is stored");
-    // The elastic coordinator's steal-poll contract: queue depth and the
-    // per-campaign progress feed are part of /stats.
     assert_eq!(count("executor_queue_depth"), 0);
-    assert!(
-        parsed
-            .get("active_campaigns")
-            .and_then(joss_sweep::json::Value::as_array)
-            .is_some(),
-        "stats must carry active_campaigns: {}",
-        stats.body_text()
-    );
     handle.stop().expect("clean shutdown");
 }
 

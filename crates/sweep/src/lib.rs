@@ -11,9 +11,8 @@
 //!   (every paper policy plus the pinned-config instrument), with stable
 //!   `Display` names and a `FromStr` CLI syntax;
 //! * [`campaign`] — [`Campaign`], the executor: fans specs out across OS
-//!   threads (the same crossbeam work-stealing machinery as
-//!   `joss_core::native`), sharing the one-time [`ExperimentContext`]
-//!   across workers;
+//!   threads on crossbeam work-stealing deques, sharing the one-time
+//!   [`ExperimentContext`] across workers;
 //! * [`pool`] — [`ordered_parallel_map`] and the streaming
 //!   [`ordered_parallel_stream`], the underlying deterministic ordered
 //!   fan-out, reused by the non-engine experiments too;

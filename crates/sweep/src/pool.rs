@@ -1,6 +1,5 @@
 //! The shared fan-out primitive: an ordered, deterministic parallel map
-//! over OS threads, using the same crossbeam work-stealing machinery the
-//! native executor ([`joss_core::native`]) proves out.
+//! over OS threads on crossbeam work-stealing deques.
 //!
 //! Work items are pushed into a global injector; each worker drains its
 //! local deque first, then batches from the injector, then steals from

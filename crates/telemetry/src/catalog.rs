@@ -101,7 +101,7 @@ counter!(pub static FLEET_SHARDS_PLANNED: "joss_fleet_shards_planned_total",
 counter!(pub static FLEET_TASKS_COMPLETED: "joss_fleet_tasks_completed_total",
     "range tasks completed across all backends");
 counter!(pub static FLEET_STEAL_ATTEMPTS: "joss_fleet_steal_attempts_total",
-    "steal candidates polled (victim /stats fetched)");
+    "steal candidates polled (victim /v1/progress fetched)");
 counter!(pub static FLEET_STEALS_COMMITTED: "joss_fleet_steals_committed_total",
     "steals committed: straggler tails re-issued to idle backends");
 counter!(pub static FLEET_STEALS_INVALIDATED: "joss_fleet_steals_invalidated_total",

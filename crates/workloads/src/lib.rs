@@ -29,7 +29,6 @@ pub mod fib;
 pub mod heat;
 pub mod matcopy;
 pub mod matmul;
-pub mod native_kernels;
 pub mod sparselu;
 pub mod stencil;
 pub mod suite;

@@ -67,7 +67,7 @@ fn facade_reexports_resolve() {
     assert_eq!(fleet_cfg.backends.len(), 1);
 }
 
-/// The nine experiment binaries and eight examples are all present and
+/// The nine experiment binaries and seven examples are all present and
 /// `cargo build --bins --examples` compiles them. The build is incremental
 /// on top of the test build, so this mostly validates target wiring.
 #[test]
@@ -88,7 +88,7 @@ fn all_bins_and_examples_compile() {
         9,
         "expected the nine experiment binaries"
     );
-    assert_eq!(count("examples"), 8, "expected the eight examples");
+    assert_eq!(count("examples"), 7, "expected the seven examples");
 
     let status = Command::new(env!("CARGO"))
         .args(["build", "--workspace", "--bins", "--examples", "--offline"])
