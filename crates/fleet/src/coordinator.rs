@@ -457,16 +457,11 @@ impl<'a> FleetSession<'a> {
                 "the fleet shards grids itself; submit an unsharded description".into(),
             ));
         }
-        let run_count = desc.spec_count();
-        if run_count == 0 {
-            return Err(FleetError::Grid(
-                "grid needs at least one workload and one scheduler".into(),
-            ));
-        }
-
         // Cost-balanced contiguous micro-plan (same cost model as
         // `joss_sweep --shard`, cut finer so the queue outlives stragglers).
+        // An empty grid or unknown label fails here, before any dispatch.
         let costs = grid_costs(desc).map_err(FleetError::Grid)?;
+        let run_count = costs.len();
         let plan = ShardPlan::weighted(&costs, config.effective_shards(run_count));
 
         let n_backends = config.backends.len();

@@ -92,27 +92,70 @@ fn merged_output_is_byte_identical_across_shard_and_backend_counts() {
     }
 }
 
+/// Sum of one `/stats` counter over every backend.
+fn stats_total(addrs: &[String], key: &str) -> u64 {
+    addrs
+        .iter()
+        .map(|addr| {
+            let stats = joss_serve::client::get(addr, "/stats", Duration::from_secs(10))
+                .expect("stats request");
+            joss_sweep::json::parse(&stats.body_text())
+                .expect("stats JSON")
+                .get(key)
+                .and_then(joss_sweep::json::Value::as_u64)
+                .unwrap_or_else(|| panic!("stats missing {key}"))
+        })
+        .sum()
+}
+
 #[test]
 fn a_session_reuses_its_fleet_across_campaigns_byte_identically() {
-    let desc = grid();
-    let reference = offline_jsonl(&desc);
     let handles = spawn_local_backends(2, &backend_template()).expect("spawn backends");
     let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
 
-    let config = fleet_config(addrs);
+    let config = fleet_config(addrs.clone());
     let session = joss_fleet::FleetSession::connect(&config).expect("session connect");
     // Repeated campaigns over one session: probe and dials were paid at
     // connect, worker connections persist in the pool between runs, and
-    // every run must still merge to the reference bytes.
+    // every run must still merge to the reference bytes. Each lap takes
+    // fresh seeds, so no backend has its ranges cached and every lap runs
+    // the daemons' miss path, where the labels and scale repeat and the
+    // graphs come from each daemon's graph memo.
+    let lap_grid = |lap: u64| GridDesc {
+        seeds: vec![42 + lap, 7 + lap],
+        ..grid()
+    };
     for lap in 0..3 {
+        let desc = lap_grid(lap);
+        let executed = stats_total(&addrs, "campaigns_executed");
+        let cache_hits = stats_total(&addrs, "cache_hits");
         let mut merged = Vec::new();
         let report = session
             .run(&desc, &mut merged)
             .unwrap_or_else(|e| panic!("session run {lap}: {e}"));
-        assert_eq!(merged, reference, "session run {lap} diverged");
+        assert_eq!(merged, offline_jsonl(&desc), "session run {lap} diverged");
         assert_eq!(report.records, desc.spec_count());
         assert_eq!(report.failovers, 0);
+        assert!(
+            stats_total(&addrs, "campaigns_executed") > executed,
+            "session run {lap} simulated nothing"
+        );
+        assert_eq!(
+            stats_total(&addrs, "cache_hits"),
+            cache_hits,
+            "session run {lap} was not cold"
+        );
     }
+    // The first grid again, now answered from what the laps left behind.
+    let mut merged = Vec::new();
+    session
+        .run(&lap_grid(0), &mut merged)
+        .expect("session run, repeated grid");
+    assert_eq!(
+        merged,
+        offline_jsonl(&lap_grid(0)),
+        "repeated grid diverged"
+    );
     // A different grid through the same session.
     let small = GridDesc {
         workloads: vec!["DP".into(), "FB".into()],
@@ -124,6 +167,15 @@ fn a_session_reuses_its_fleet_across_campaigns_byte_identically() {
         .run(&small, &mut merged)
         .expect("session run, second grid");
     assert_eq!(merged, offline_jsonl(&small), "second grid diverged");
+    // A grid with nothing to run is refused before any dispatch.
+    let empty = GridDesc {
+        workloads: Vec::new(),
+        ..grid()
+    };
+    assert!(matches!(
+        session.run(&empty, &mut Vec::new()),
+        Err(FleetError::Grid(_))
+    ));
 
     for h in handles {
         h.stop().expect("clean backend shutdown");

@@ -8,15 +8,18 @@
 //! ```
 //!
 //! Workload labels are the Fig. 8 suite labels (`--list` prints them);
-//! scheduler syntax is `SchedulerKind::parse_help()`. Records **stream** to
-//! the JSONL/CSV files in spec order as workers finish — full records
-//! (reports, opted-in traces) are never held for the whole grid. Only one
-//! slim `MetricPoint` per record (two labels + one float) survives for the
-//! normalized table printed at the end, so memory grows with the spec
-//! count but not with task counts or traces.
+//! scheduler syntax is `SchedulerKind::parse_help()`. The flags describe a
+//! `GridDesc`, so only the named workloads are built, each once. Records
+//! **stream** to the JSONL/CSV files in spec order as workers finish —
+//! full records (reports, opted-in traces) are never held for the whole
+//! grid. Only one slim `MetricPoint` per record (two labels + one float)
+//! survives for the normalized table printed at the end, so memory grows
+//! with the spec count but not with task counts or traces.
 //!
 //! `--shard I/N` (0-based) runs only shard `I` of the cost-balanced
-//! `ShardPlan` that splits the grid into `N` contiguous spec ranges.
+//! `ShardPlan` that `plan_grid` splits the grid into: `N` contiguous spec
+//! ranges, cut by the planner and cost model a `joss_fleet` coordinator
+//! uses.
 //! Records carry their **global** spec indices, so concatenating the N
 //! shard outputs in shard order is byte-identical to the unsharded
 //! `--out` file — the property the `joss_fleet` merge relies on, asserted
@@ -26,10 +29,10 @@
 
 use joss_sweep::agg::{normalize_points, MetricPoint};
 use joss_sweep::{
-    default_threads, geo_means_per_scheduler, Campaign, CsvSink, ExperimentContext, JsonlSink,
-    SchedulerKind, ShardPlan, SpecGrid, Workload,
+    default_threads, geo_means_per_scheduler, plan_grid, Campaign, CsvSink, ExperimentContext,
+    GridDesc, JsonlSink, SchedulerKind,
 };
-use joss_workloads::{fig8_suite, Scale};
+use joss_workloads::{fig8_labels, Scale};
 use std::process::exit;
 
 fn usage() -> ! {
@@ -90,10 +93,15 @@ fn main() {
             "--threads" => threads = next(&mut i).parse().expect("thread count"),
             "--scale" => {
                 let v = next(&mut i);
-                scale = if v == "full" {
-                    Scale::Full
-                } else {
-                    Scale::Divided(v.parse().expect("scale divisor"))
+                scale = match v.as_str() {
+                    "full" => Scale::Full,
+                    d => match d.parse() {
+                        Ok(d) if d > 0 => Scale::Divided(d),
+                        _ => {
+                            eprintln!("error: --scale wants full or a divisor >= 1, got {d:?}");
+                            usage()
+                        }
+                    },
                 };
             }
             "--reps" => reps = next(&mut i).parse().expect("training reps"),
@@ -126,28 +134,14 @@ fn main() {
         i += 1;
     }
 
-    let suite = fig8_suite(scale);
     if list {
-        println!("available workloads ({}):", suite.len());
-        for b in &suite {
-            println!("  {}", b.label);
+        let labels = fig8_labels();
+        println!("available workloads ({}):", labels.len());
+        for label in &labels {
+            println!("  {label}");
         }
         return;
     }
-
-    let workloads: Vec<Workload> = match &workload_filter {
-        None => suite.into_iter().map(Workload::from).collect(),
-        Some(wanted) => wanted
-            .iter()
-            .map(|w| {
-                let bench = suite.iter().find(|b| &b.label == w).unwrap_or_else(|| {
-                    eprintln!("error: unknown workload {w:?} (try --list)");
-                    exit(2);
-                });
-                Workload::from(bench.clone())
-            })
-            .collect(),
-    };
 
     // Scaled-down runs have short makespans; shrink Aequitas' slice
     // proportionally so its time-slicing still engages.
@@ -155,46 +149,43 @@ fn main() {
         Scale::Full => 1.0,
         Scale::Divided(d) => (1.0 / d as f64).max(0.005),
     };
-    let schedulers = schedulers.unwrap_or_else(|| SchedulerKind::fig8_set(slice));
     if seeds.is_empty() {
         seeds.push(42);
     }
-
-    eprintln!("[joss_sweep] characterizing platform + training models (reps={reps})...");
-    let ctx = ExperimentContext::with_reps(train_seed, reps);
-    let specs = SpecGrid::new()
-        .workloads(workloads)
-        .schedulers(schedulers.iter().copied())
-        .seeds(seeds.iter().copied())
-        .record_trace(record_trace)
-        .build();
+    let desc = GridDesc {
+        workloads: workload_filter.unwrap_or_else(fig8_labels),
+        schedulers: schedulers.unwrap_or_else(|| SchedulerKind::fig8_set(slice)),
+        seeds,
+        scale,
+        record_trace,
+        shard: None,
+    };
+    let fail = |e: String| -> ! {
+        eprintln!("error: {e}");
+        exit(2);
+    };
     eprintln!(
         "[joss_sweep] grid has {} specs ({} workloads x {} schedulers x {} seeds)",
-        specs.len(),
-        specs.len() / (schedulers.len() * seeds.len()),
-        schedulers.len(),
-        seeds.len(),
+        desc.spec_count(),
+        desc.workloads.len(),
+        desc.schedulers.len(),
+        desc.seeds.len(),
     );
 
     // --shard I/N: run only one range of the cost-balanced plan, with
     // global record indices, so the N outputs concatenate into the
-    // unsharded file. The cost model (per-workload task counts) matches
-    // `joss_sweep::shard::grid_costs`, so a fleet planning the same grid
-    // agrees on the boundaries.
+    // unsharded file. `plan_grid` is the planner a fleet uses for the same
+    // grid, so both agree on the boundaries.
     let (index_base, specs) = match shard {
-        None => (0, specs),
+        None => desc.resolve_specs().unwrap_or_else(|e| fail(e)),
         Some((idx, n)) => {
-            let costs: Vec<f64> = specs
-                .iter()
-                .map(|s| s.workload.graph.n_tasks() as f64)
-                .collect();
-            let plan = ShardPlan::weighted(&costs, n);
+            let plan = plan_grid(&desc, n).unwrap_or_else(|e| fail(e));
             if idx >= plan.len() {
                 // More shards requested than specs: trailing shards are
                 // empty, and an empty output still concatenates cleanly.
                 eprintln!(
                     "[joss_sweep] shard {idx}/{n} is empty ({} specs fill only {} shards)",
-                    specs.len(),
+                    desc.spec_count(),
                     plan.len()
                 );
                 (0, Vec::new())
@@ -202,12 +193,17 @@ fn main() {
                 let range = plan.shard(idx);
                 eprintln!(
                     "[joss_sweep] shard {idx}/{n}: specs {range} of {}",
-                    specs.len()
+                    desc.spec_count()
                 );
-                (range.start, specs[range.start..range.end].to_vec())
+                desc.with_shard(range)
+                    .resolve_specs()
+                    .unwrap_or_else(|e| fail(e))
             }
         }
     };
+
+    eprintln!("[joss_sweep] characterizing platform + training models (reps={reps})...");
+    let ctx = ExperimentContext::with_reps(train_seed, reps);
     eprintln!(
         "[joss_sweep] running {} specs on {} threads...",
         specs.len(),

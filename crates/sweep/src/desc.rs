@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 /// Declarative, serializable description of a [`SpecGrid`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridDesc {
-    /// Fig. 8 suite labels (resolved against [`fig8_suite`] at `scale`).
+    /// Fig. 8 suite labels (resolved through [`fig8_bench`] at `scale`).
     pub workloads: Vec<String>,
     /// Scheduler columns.
     pub schedulers: Vec<SchedulerKind>,
@@ -253,14 +253,13 @@ impl GridDesc {
     /// Instantiate the described grid, resolving workload labels against
     /// the Fig. 8 suite at this description's scale.
     ///
-    /// Only the *named* workloads are constructed ([`fig8_bench`] builds
-    /// one instance, not the suite) — this runs on the serve daemon's miss
-    /// path while an admission permit is held, so a one-workload grid must
-    /// not pay for 21 full-scale graph builds.
+    /// Labels resolve through [`fig8_bench`]'s process-wide graph memo, so
+    /// only the *named* workloads are ever built, and a label some earlier
+    /// grid, shard plan or request already resolved at this scale shares
+    /// that graph instead of being built again. This runs on the serve
+    /// daemon's miss path while an admission permit is held.
     pub fn resolve(&self) -> Result<SpecGrid, String> {
-        if self.workloads.is_empty() || self.schedulers.is_empty() {
-            return Err("grid needs at least one workload and one scheduler".to_string());
-        }
+        self.check_axes()?;
         if self.shard.is_some() {
             // A shard is not a cartesian grid; the full-grid builder would
             // silently run everything. Force callers through the
@@ -270,7 +269,7 @@ impl GridDesc {
         let workloads: Vec<Workload> = self
             .workloads
             .iter()
-            .map(|label| self.build_workload(label))
+            .map(|label| self.workload(label))
             .collect::<Result<_, _>>()?;
         Ok(SpecGrid::new()
             .workloads(workloads)
@@ -284,10 +283,10 @@ impl GridDesc {
     /// description, exactly the shard's slice (in global spec order) for a
     /// sharded one.
     ///
-    /// Only workloads whose spec blocks intersect the shard are built —
+    /// Only workloads whose spec blocks intersect the shard are resolved —
     /// spec order is workload-major, so a shard touches a contiguous run
     /// of workloads and a backend serving one shard of a 21-workload grid
-    /// builds only its share of the graphs. The slice is exactly what
+    /// resolves only its share of the graphs. The slice is exactly what
     /// [`SpecGrid::build`] would emit at those indices, which is what
     /// makes sharded records byte-identical to the full run's.
     pub fn resolve_specs(&self) -> Result<(usize, Vec<RunSpec>), String> {
@@ -305,7 +304,7 @@ impl GridDesc {
         let first_w = range.start / block;
         let last_w = (range.end - 1) / block;
         let built: Vec<Workload> = (first_w..=last_w)
-            .map(|wi| self.build_workload(&self.workloads[wi]))
+            .map(|wi| self.workload(&self.workloads[wi]))
             .collect::<Result<_, _>>()?;
         let mut specs = Vec::with_capacity(range.len());
         for index in range.start..range.end {
@@ -322,8 +321,17 @@ impl GridDesc {
         Ok((range.start, specs))
     }
 
-    /// Build one labelled workload at this description's scale.
-    fn build_workload(&self, label: &str) -> Result<Workload, String> {
+    /// Err unless the grid has at least one workload and one scheduler.
+    pub(crate) fn check_axes(&self) -> Result<(), String> {
+        if self.workloads.is_empty() || self.schedulers.is_empty() {
+            return Err("grid needs at least one workload and one scheduler".to_string());
+        }
+        Ok(())
+    }
+
+    /// One labelled workload at this description's scale, from the graph
+    /// memo.
+    pub(crate) fn workload(&self, label: &str) -> Result<Workload, String> {
         fig8_bench(label, self.scale)
             .map(Workload::from)
             .ok_or_else(|| {

@@ -23,7 +23,6 @@
 //! cost, no shard exceeds twice the mean.
 
 use crate::desc::GridDesc;
-use joss_workloads::fig8_bench;
 use std::fmt;
 
 /// A half-open, contiguous range of global spec indices, `start..end`.
@@ -221,30 +220,27 @@ impl ShardPlan {
 ///
 /// The cost model is the workload's task count at the grid's scale —
 /// engine time is near-linear in events, which scale with tasks — so the
-/// cost of a spec is independent of its scheduler and seed. Each distinct
-/// workload label is built exactly once. Fails like
-/// [`GridDesc::resolve`] on unknown labels.
+/// cost of a spec is independent of its scheduler and seed. Labels
+/// resolve through the same process-wide graph memo as
+/// [`GridDesc::resolve`]: planning a grid whose graphs the process already
+/// holds builds nothing, and resolving the planned shards afterwards
+/// shares the graphs planning built. Fails like [`GridDesc::resolve`] on a
+/// grid without workloads or schedulers and on unknown labels.
 pub fn grid_costs(desc: &GridDesc) -> Result<Vec<f64>, String> {
-    let per_workload: Vec<f64> = desc
-        .workloads
-        .iter()
-        .map(|label| {
-            fig8_bench(label, desc.scale)
-                .map(|b| b.graph.n_tasks() as f64)
-                .ok_or_else(|| format!("unknown workload {label:?}"))
-        })
-        .collect::<Result<_, _>>()?;
+    desc.check_axes()?;
     let runs_per_workload = desc.schedulers.len() * desc.seeds.len().max(1);
     let mut costs = Vec::with_capacity(desc.spec_count());
-    for &c in &per_workload {
-        costs.extend(std::iter::repeat_n(c, runs_per_workload));
+    for label in &desc.workloads {
+        let tasks = desc.workload(label)?.graph.n_tasks() as f64;
+        costs.extend(std::iter::repeat_n(tasks, runs_per_workload));
     }
     Ok(costs)
 }
 
 /// Convenience: a cost-weighted plan for a described grid (the planner the
 /// `joss_sweep --shard i/n` CLI and the `joss-fleet` coordinator share, so
-/// both agree on shard boundaries for the same grid).
+/// both agree on shard boundaries for the same grid). Fails like
+/// [`grid_costs`].
 pub fn plan_grid(desc: &GridDesc, shards: usize) -> Result<ShardPlan, String> {
     Ok(ShardPlan::weighted(&grid_costs(desc)?, shards))
 }

@@ -41,10 +41,7 @@ impl Workload {
 
 impl From<BenchInstance> for Workload {
     fn from(b: BenchInstance) -> Self {
-        Workload {
-            label: b.label,
-            graph: Arc::new(b.graph),
-        }
+        Workload::shared(b.label, b.graph)
     }
 }
 

@@ -136,9 +136,24 @@ fn grid_costs_follow_spec_order() {
     assert_eq!(plan_grid(&desc, 3).unwrap(), plan_grid(&desc, 3).unwrap());
     assert!(grid_costs(&GridDesc {
         workloads: vec!["NOPE".into()],
-        ..desc
+        ..desc.clone()
     })
     .is_err());
+    // A grid with no workloads or no schedulers has no specs to plan: an
+    // error, not a panic inside the planner.
+    for empty in [
+        GridDesc {
+            workloads: Vec::new(),
+            ..desc.clone()
+        },
+        GridDesc {
+            schedulers: Vec::new(),
+            ..desc
+        },
+    ] {
+        assert!(grid_costs(&empty).is_err(), "{empty:?}");
+        assert!(plan_grid(&empty, 2).is_err(), "{empty:?}");
+    }
 }
 
 /// THE sharding property: running each shard of a plan separately (with

@@ -29,6 +29,7 @@ pub mod fib;
 pub mod heat;
 pub mod matcopy;
 pub mod matmul;
+mod memo;
 pub mod sparselu;
 pub mod stencil;
 pub mod suite;
@@ -39,7 +40,7 @@ pub use suite::{fig8_bench, fig8_labels, fig8_suite, fig9_suite, BenchInstance};
 use serde::{Deserialize, Serialize};
 
 /// Workload scaling: full Table-1 task counts, or divided for fast runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Scale {
     /// Table-1 task counts.
     Full,

@@ -2,20 +2,23 @@
 //! Table-1 inventory.
 
 use crate::heat::HeatSize;
+use crate::memo::{GraphMemo, MEMO_TASK_BUDGET};
 use crate::{alya, biomarker, dot, fib, heat, matcopy, matmul, sparselu, stencil, vgg, Scale};
 use joss_dag::TaskGraph;
+use std::sync::{Arc, OnceLock};
 
 /// One benchmark instance of the evaluation.
 #[derive(Debug, Clone)]
 pub struct BenchInstance {
     /// Paper label (x-axis of Figs. 8 and 9).
     pub label: String,
-    /// The task graph.
-    pub graph: TaskGraph,
+    /// The task graph, shared with every other holder of the same
+    /// instance (see [`fig8_bench`]).
+    pub graph: Arc<TaskGraph>,
 }
 
 impl BenchInstance {
-    fn new(graph: TaskGraph) -> Self {
+    fn new(graph: Arc<TaskGraph>) -> Self {
         BenchInstance {
             label: graph.name().to_string(),
             graph,
@@ -23,63 +26,84 @@ impl BenchInstance {
     }
 }
 
-/// The suite's per-instance constructors, in the paper's x-axis order.
-/// Single source of truth for [`fig8_suite`] and [`fig8_bench`].
-#[allow(clippy::type_complexity)]
-fn fig8_builders() -> Vec<Box<dyn Fn(Scale) -> TaskGraph>> {
-    let mut v: Vec<Box<dyn Fn(Scale) -> TaskGraph>> = vec![
-        Box::new(|s| heat::heat(HeatSize::Small, s)),
-        Box::new(|s| heat::heat(HeatSize::Big, s)),
-        Box::new(|s| heat::heat(HeatSize::Huge, s)),
-        Box::new(dot::dot),
-        Box::new(fib::fib),
-        Box::new(vgg::vgg),
-        Box::new(biomarker::biomarker),
-        Box::new(alya::alya),
-        Box::new(sparselu::sparselu),
-    ];
-    for (n, dop) in [(256, 4), (256, 16), (512, 4), (512, 16)] {
-        v.push(Box::new(move |s| matmul::matmul(n, dop, s)));
-    }
-    for (n, dop) in [(4096, 4), (4096, 16), (8192, 4), (8192, 16)] {
-        v.push(Box::new(move |s| matcopy::matcopy(n, dop, s)));
-    }
-    for (n, dop) in [(512, 4), (512, 16), (2048, 4), (2048, 16)] {
-        v.push(Box::new(move |s| stencil::stencil(n, dop, s)));
-    }
-    v
-}
+/// The suite's per-instance constructors, in the paper's x-axis order:
+/// the single source of truth for [`fig8_labels`], [`fig8_suite`] and
+/// [`fig8_bench`].
+pub(crate) const FIG8: [fn(Scale) -> TaskGraph; 21] = [
+    |s| heat::heat(HeatSize::Small, s),
+    |s| heat::heat(HeatSize::Big, s),
+    |s| heat::heat(HeatSize::Huge, s),
+    dot::dot,
+    fib::fib,
+    vgg::vgg,
+    biomarker::biomarker,
+    alya::alya,
+    sparselu::sparselu,
+    |s| matmul::matmul(256, 4, s),
+    |s| matmul::matmul(256, 16, s),
+    |s| matmul::matmul(512, 4, s),
+    |s| matmul::matmul(512, 16, s),
+    |s| matcopy::matcopy(4096, 4, s),
+    |s| matcopy::matcopy(4096, 16, s),
+    |s| matcopy::matcopy(8192, 4, s),
+    |s| matcopy::matcopy(8192, 16, s),
+    |s| stencil::stencil(512, 4, s),
+    |s| stencil::stencil(512, 16, s),
+    |s| stencil::stencil(2048, 4, s),
+    |s| stencil::stencil(2048, 16, s),
+];
 
 /// Minimum-size probe: every generator floors its task count, so this is
 /// the cheapest scale a graph can be built at. Labels are scale-invariant,
 /// which is what lets the probe stand in for label lookups.
 const PROBE: Scale = Scale::Divided(u32::MAX);
 
-/// The 21 benchmark instances of Fig. 8, in the paper's x-axis order.
+/// The generators' own names, in [`FIG8`] order, taken from one probe
+/// pass per process.
+fn labels() -> &'static [String] {
+    static LABELS: OnceLock<Vec<String>> = OnceLock::new();
+    LABELS.get_or_init(|| {
+        FIG8.iter()
+            .map(|build| build(PROBE).name().to_string())
+            .collect()
+    })
+}
+
+/// Position of `label` in the suite, if it names an instance.
+pub(crate) fn fig8_index(label: &str) -> Option<usize> {
+    labels().iter().position(|l| l == label)
+}
+
+/// The 21 benchmark instances of Fig. 8, in the paper's x-axis order,
+/// each freshly built (the graph memo behind [`fig8_bench`] is bypassed:
+/// a full-scale suite is several times its budget).
 pub fn fig8_suite(scale: Scale) -> Vec<BenchInstance> {
-    fig8_builders()
-        .iter()
-        .map(|build| BenchInstance::new(build(scale)))
+    FIG8.iter()
+        .map(|build| BenchInstance::new(Arc::new(build(scale))))
         .collect()
 }
 
-/// The 21 Fig. 8 labels in x-axis order, without building the suite at
-/// any real scale (probe-size graphs only).
+/// The 21 Fig. 8 labels in x-axis order. The list is computed once per
+/// process from probe-size graphs; later calls build nothing.
 pub fn fig8_labels() -> Vec<String> {
-    fig8_builders()
-        .iter()
-        .map(|build| build(PROBE).name().to_string())
-        .collect()
+    labels().to_vec()
 }
 
-/// Build only the instance with this label, without constructing the rest
-/// of the suite at the requested scale — the serving hot path resolves
-/// grids through this (a full-scale suite build is ~21 large graphs; a
-/// grid usually wants a handful).
+/// The instance with this label at `scale`, or `None` for an unknown
+/// label (which builds nothing).
+///
+/// Graphs come from a process-wide memo keyed by (label, scale): the
+/// first request builds the one graph, and every later request shares it
+/// until least-recently-used eviction drops it. The memo retains at most
+/// 2^18 tasks in total (about 8.4 MB of graphs); a graph larger than that
+/// is built on every call and never retained. Grid resolution, shard
+/// planning and the serve daemon's miss path all resolve labels through
+/// here.
 pub fn fig8_bench(label: &str, scale: Scale) -> Option<BenchInstance> {
-    fig8_builders()
-        .into_iter()
-        .find_map(|build| (build(PROBE).name() == label).then(|| BenchInstance::new(build(scale))))
+    static MEMO: OnceLock<GraphMemo> = OnceLock::new();
+    MEMO.get_or_init(|| GraphMemo::new(MEMO_TASK_BUDGET))
+        .get(label, scale)
+        .map(BenchInstance::new)
 }
 
 /// The Fig. 9 suite (same instances as Fig. 8).
